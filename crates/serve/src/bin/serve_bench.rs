@@ -493,10 +493,7 @@ fn main() {
     let total_events = events.load(Ordering::SeqCst);
     let dps = total_decisions as f64 / elapsed;
     let eps = total_events as f64 / elapsed;
-    let proto_name = match proto {
-        Proto::Jsonl => "jsonl",
-        Proto::Binary => "binary",
-    };
+    let proto_name = proto.name();
     println!(
         "serve_bench: {domains} domains / {clients} clients / {:.1}s \
          [{proto_name}, pipeline {pipeline}{}] — \

@@ -1,39 +1,22 @@
 //! TCP client for the serve wire protocol, speaking either codec.
 //!
 //! [`Client::call`] is the classic synchronous request/response round.
-//! [`Client::call_pipelined`] keeps a window of requests in flight: over the
-//! binary codec responses are matched by correlation id (the server may
-//! complete them out of order), over JSONL the client simply writes ahead
-//! and relies on the server's in-order replies. Either way the writes for a
-//! full window are coalesced into one syscall.
+//! [`Client::call_pipelined`] keeps a window of requests in flight, with one
+//! loop for both codecs: responses are matched to requests by correlation
+//! id, which a binary frame carries and a JSONL reply takes from its place
+//! in line (the server answers JSONL in request order). Requests and
+//! responses go through the same [`crate::codec`] framing pair the server uses, and
+//! the writes for a full window are coalesced into one syscall.
 
-use crate::codec::{self, BINARY_PREFIX, BINARY_VERSION, JSONL_PREFIX, MAX_FRAME_LEN};
+use crate::codec::Inbound;
 use crate::fault::splitmix64;
-use crate::proto::{decode, encode_line, Request, Response};
+use crate::proto::{Request, Response};
 use bytes::BytesMut;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// Which wire codec a [`Client`] negotiates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Proto {
-    /// Line-delimited JSON (the legacy, `nc`-friendly codec).
-    Jsonl,
-    /// Length-prefixed binary frames with correlation ids.
-    Binary,
-}
-
-impl Proto {
-    /// Parses a `--proto` flag value.
-    pub fn parse(s: &str) -> Result<Proto, String> {
-        match s {
-            "jsonl" => Ok(Proto::Jsonl),
-            "binary" => Ok(Proto::Binary),
-            other => Err(format!("unknown proto {other:?} (expected jsonl|binary)")),
-        }
-    }
-}
+pub use crate::codec::Proto;
 
 /// How [`Client::call`] retries: bounded attempts with exponential backoff
 /// and deterministic jitter, transparent reconnect + renegotiation after a
@@ -103,20 +86,17 @@ pub struct ClientStats {
 /// A connected wire-protocol client with reusable encode/decode buffers.
 pub struct Client {
     proto: Proto,
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: TcpStream,
+    inbound: Inbound,
     /// The peer address, kept for reconnects.
     addr: SocketAddr,
     retry: Option<RetryPolicy>,
     stats: ClientStats,
     /// Jitter stream state (SplitMix64 counter).
     jitter: u64,
-    /// Reusable JSONL line buffers (encode side / decode side).
-    line_out: String,
-    line_in: String,
-    /// Reusable binary frame encode buffer.
-    frame_out: BytesMut,
-    /// Next correlation id to assign (binary only).
+    /// Reusable request encode buffer.
+    out: BytesMut,
+    /// Correlation id of the next request on this connection.
     next_corr: u64,
 }
 
@@ -143,25 +123,16 @@ fn is_transient(e: &io::Error) -> bool {
 impl Client {
     /// Connects and sends the negotiation prefix for `proto`.
     pub fn connect(addr: impl ToSocketAddrs, proto: Proto) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let addr = stream.peer_addr()?;
-        let mut writer = stream.try_clone()?;
-        match proto {
-            Proto::Jsonl => writer.write_all(&[JSONL_PREFIX])?,
-            Proto::Binary => writer.write_all(&[BINARY_PREFIX, BINARY_VERSION])?,
-        }
+        let (stream, addr) = open(addr, proto, None)?;
         Ok(Client {
             proto,
-            reader: BufReader::new(stream),
-            writer,
             addr,
+            stream,
+            inbound: Inbound::new(proto, Vec::new()),
             retry: None,
             stats: ClientStats::default(),
             jitter: 0,
-            line_out: String::new(),
-            line_in: String::new(),
-            frame_out: BytesMut::with_capacity(4096),
+            out: BytesMut::with_capacity(4096),
             next_corr: 0,
         })
     }
@@ -181,7 +152,7 @@ impl Client {
     /// Installs (or replaces) the retry policy on a live client, applying
     /// its read timeout to the socket.
     pub fn set_retry(&mut self, policy: RetryPolicy) -> io::Result<()> {
-        self.reader.get_ref().set_read_timeout(policy.timeout)?;
+        self.stream.set_read_timeout(policy.timeout)?;
         self.jitter = policy.jitter_seed;
         self.retry = Some(policy);
         Ok(())
@@ -245,18 +216,9 @@ impl Client {
     /// Re-establishes the connection and renegotiates the codec. Buffered
     /// partial responses from the dead connection are discarded with it.
     fn reconnect(&mut self) -> io::Result<()> {
-        let stream = TcpStream::connect(self.addr)?;
-        stream.set_nodelay(true)?;
-        if let Some(policy) = &self.retry {
-            stream.set_read_timeout(policy.timeout)?;
-        }
-        let mut writer = stream.try_clone()?;
-        match self.proto {
-            Proto::Jsonl => writer.write_all(&[JSONL_PREFIX])?,
-            Proto::Binary => writer.write_all(&[BINARY_PREFIX, BINARY_VERSION])?,
-        }
-        self.reader = BufReader::new(stream);
-        self.writer = writer;
+        (self.stream, _) = open(self.addr, self.proto, self.retry.and_then(|p| p.timeout))?;
+        self.inbound = Inbound::new(self.proto, Vec::new());
+        self.next_corr = 0;
         Ok(())
     }
 
@@ -277,65 +239,27 @@ impl Client {
         window: usize,
     ) -> io::Result<Vec<Response>> {
         let window = window.max(1);
-        match self.proto {
-            Proto::Jsonl => self.pipelined_jsonl(requests, window),
-            Proto::Binary => self.pipelined_binary(requests, window),
-        }
-    }
-
-    fn pipelined_jsonl(
-        &mut self,
-        requests: &[Request],
-        window: usize,
-    ) -> io::Result<Vec<Response>> {
-        let mut responses = Vec::with_capacity(requests.len());
-        let mut sent = 0;
-        while responses.len() < requests.len() {
-            // Top the window off, all queued lines in one write.
-            if sent < requests.len() && sent - responses.len() < window {
-                self.line_out.clear();
-                while sent < requests.len() && sent - responses.len() < window {
-                    encode_line(&requests[sent], &mut self.line_out);
-                    sent += 1;
-                }
-                self.writer.write_all(self.line_out.as_bytes())?;
-                self.writer.flush()?;
-            }
-            self.line_in.clear();
-            if self.reader.read_line(&mut self.line_in)? == 0 {
-                return Err(io::ErrorKind::UnexpectedEof.into());
-            }
-            responses.push(decode(&self.line_in).map_err(bad_data)?);
-        }
-        Ok(responses)
-    }
-
-    fn pipelined_binary(
-        &mut self,
-        requests: &[Request],
-        window: usize,
-    ) -> io::Result<Vec<Response>> {
         let base = self.next_corr;
         self.next_corr += requests.len() as u64;
-        let mut responses: Vec<Option<Response>> = (0..requests.len()).map(|_| None).collect();
+        let mut responses: Vec<Option<Response>> = vec![None; requests.len()];
         let mut sent = 0;
         let mut received = 0;
         while received < requests.len() {
+            // Top the window off, all queued requests in one write.
             if sent < requests.len() && sent - received < window {
-                self.frame_out.clear();
+                self.out.clear();
                 while sent < requests.len() && sent - received < window {
-                    codec::encode_frame(base + sent as u64, &requests[sent], &mut self.frame_out);
+                    self.proto.encode(base + sent as u64, &requests[sent], &mut self.out);
                     sent += 1;
                 }
-                self.writer.write_all(&self.frame_out)?;
-                self.writer.flush()?;
+                self.stream.write_all(&self.out)?;
             }
-            let (corr, body) = self.read_frame()?;
+            let (corr, response) = self.read_response()?;
             let idx =
                 corr.checked_sub(base).filter(|&i| (i as usize) < requests.len()).ok_or_else(
                     || bad_data(format!("response for unknown correlation id {corr}")),
                 )? as usize;
-            if responses[idx].replace(codec::decode_binary(&body).map_err(bad_data)?).is_some() {
+            if responses[idx].replace(response).is_some() {
                 return Err(bad_data(format!("duplicate response for correlation id {corr}")));
             }
             received += 1;
@@ -343,19 +267,33 @@ impl Client {
         Ok(responses.into_iter().map(|r| r.expect("all received")).collect())
     }
 
-    fn read_frame(&mut self) -> io::Result<(u64, Vec<u8>)> {
-        let mut len = [0u8; 4];
-        self.reader.read_exact(&mut len)?;
-        let body_len = u32::from_le_bytes(len) as usize;
-        if !(8..=MAX_FRAME_LEN).contains(&body_len) {
-            return Err(bad_data(format!("bad frame length {body_len}")));
+    fn read_response(&mut self) -> io::Result<(u64, Response)> {
+        loop {
+            if let Some((corr, body)) = self.inbound.take().map_err(bad_data)? {
+                return Ok((corr, self.proto.decode(body).map_err(bad_data)?));
+            }
+            if self.inbound.fill(&self.stream)? == 0 {
+                return Err(io::ErrorKind::UnexpectedEof.into());
+            }
         }
-        let mut corr = [0u8; 8];
-        self.reader.read_exact(&mut corr)?;
-        let mut body = vec![0u8; body_len - 8];
-        self.reader.read_exact(&mut body)?;
-        Ok((u64::from_le_bytes(corr), body))
     }
+}
+
+/// Connects to `addr` and sends the negotiation prefix for `proto`. The
+/// peer address is read before anything is written: a server that drops the
+/// connection at once must not fail the connect, only the first call (which
+/// retries).
+fn open(
+    addr: impl ToSocketAddrs,
+    proto: Proto,
+    timeout: Option<Duration>,
+) -> io::Result<(TcpStream, SocketAddr)> {
+    let mut stream = TcpStream::connect(addr)?;
+    let peer = stream.peer_addr()?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(timeout)?;
+    stream.write_all(proto.prefix())?;
+    Ok((stream, peer))
 }
 
 #[cfg(test)]

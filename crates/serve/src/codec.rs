@@ -40,9 +40,18 @@
 //! response frame, which is what makes out-of-order pipelining possible: the
 //! server may complete requests in any order (only per-domain order is
 //! preserved) and the client matches completions by id.
+//!
+//! ## One session, two framings
+//!
+//! Server sessions and [`crate::Client`] read and write either codec through
+//! the same [`Proto`]-keyed pair: `Inbound` splits the next message off a
+//! connection's bytes and `Proto::encode` appends one. A JSONL line has no
+//! id field, so its position among the connection's lines is its
+//! correlation id, and JSONL replies go back in request order.
 
 use bytes::{Buf, BufMut, BytesMut};
 use serde::Value;
+use std::io::{self, Read};
 
 /// Negotiation byte opening a binary connection (followed by one version
 /// byte).
@@ -269,27 +278,172 @@ pub fn encode_frame<T: serde::Serialize>(corr: u64, msg: &T, buf: &mut BytesMut)
     buf[header_at..header_at + 4].copy_from_slice(&body_len.to_le_bytes());
 }
 
-/// Attempts to split one frame off the front of `pending`. Returns
-/// `Ok(None)` when more bytes are needed, `Ok(Some((corr, body_range)))`
-/// with the frame consumed from `pending` otherwise.
-pub fn take_frame(pending: &mut Vec<u8>) -> Result<Option<(u64, Vec<u8>)>, String> {
-    if pending.len() < 4 {
+/// The whole length and correlation id of the frame at the front of `buf`,
+/// `Ok(None)` while it is incomplete.
+fn frame_at(buf: &[u8]) -> Result<Option<(usize, u64)>, String> {
+    if buf.len() < 4 {
         return Ok(None);
     }
-    let body_len = u32::from_le_bytes(pending[..4].try_into().expect("4 bytes")) as usize;
+    let body_len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
     if body_len > MAX_FRAME_LEN {
         return Err(format!("frame length {body_len} exceeds cap {MAX_FRAME_LEN}"));
     }
     if body_len < 8 {
         return Err(format!("frame length {body_len} too short for a correlation id"));
     }
-    if pending.len() < 4 + body_len {
+    if buf.len() < 4 + body_len {
         return Ok(None);
     }
-    let corr = u64::from_le_bytes(pending[4..12].try_into().expect("8 bytes"));
-    let body = pending[12..4 + body_len].to_vec();
-    pending.drain(..4 + body_len);
+    Ok(Some((4 + body_len, u64::from_le_bytes(buf[4..12].try_into().expect("8 bytes")))))
+}
+
+/// Attempts to split one frame off the front of `pending`. Returns
+/// `Ok(None)` when more bytes are needed, `Ok(Some((corr, body_range)))`
+/// with the frame consumed from `pending` otherwise.
+pub fn take_frame(pending: &mut Vec<u8>) -> Result<Option<(u64, Vec<u8>)>, String> {
+    let Some((len, corr)) = frame_at(pending)? else { return Ok(None) };
+    let body = pending[FRAME_HEADER..len].to_vec();
+    pending.drain(..len);
     Ok(Some((corr, body)))
+}
+
+/// Which wire codec a connection speaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Proto {
+    /// Line-delimited JSON (the legacy, `nc`-friendly codec).
+    Jsonl,
+    /// Length-prefixed binary frames with correlation ids.
+    Binary,
+}
+
+impl Proto {
+    /// Parses a `--proto` flag value.
+    pub fn parse(s: &str) -> Result<Proto, String> {
+        match s {
+            "jsonl" => Ok(Proto::Jsonl),
+            "binary" => Ok(Proto::Binary),
+            other => Err(format!("unknown proto {other:?} (expected jsonl|binary)")),
+        }
+    }
+
+    /// The `--proto` spelling, also the `codec` telemetry label.
+    pub fn name(self) -> &'static str {
+        match self {
+            Proto::Jsonl => "jsonl",
+            Proto::Binary => "binary",
+        }
+    }
+
+    /// The negotiation bytes a client opens its connection with.
+    pub(crate) fn prefix(self) -> &'static [u8] {
+        match self {
+            Proto::Jsonl => &[JSONL_PREFIX],
+            Proto::Binary => &[BINARY_PREFIX, BINARY_VERSION],
+        }
+    }
+
+    /// Appends one message: a frame echoing `corr`, or a line (whose
+    /// position on the connection is its correlation id).
+    pub(crate) fn encode<T: serde::Serialize>(self, corr: u64, msg: &T, buf: &mut BytesMut) {
+        match self {
+            Proto::Binary => encode_frame(corr, msg, buf),
+            Proto::Jsonl => {
+                buf.put_slice(crate::proto::encode(msg).as_bytes());
+                buf.put_u8(b'\n');
+            }
+        }
+    }
+
+    /// Decodes one message body split off by [`Inbound::take`].
+    pub(crate) fn decode<T: serde::Deserialize>(self, body: &[u8]) -> Result<T, String> {
+        match self {
+            Proto::Binary => decode_binary(body),
+            Proto::Jsonl => std::str::from_utf8(body)
+                .map_err(|e| format!("line is not UTF-8: {e}"))
+                .and_then(crate::proto::decode),
+        }
+    }
+}
+
+/// One connection's inbound bytes, split into messages of its codec.
+pub(crate) struct Inbound {
+    proto: Proto,
+    buf: Vec<u8>,
+    /// The unconsumed bytes are `buf[start..end]`; the rest is read space.
+    start: usize,
+    end: usize,
+    /// Bytes past `start` already searched for a line end, so a line that
+    /// arrives over many reads is scanned once.
+    scanned: usize,
+    /// JSONL lines split so far: the next line's correlation id.
+    lines: u64,
+}
+
+impl Inbound {
+    /// A splitter for `proto` over bytes already read off the connection.
+    pub(crate) fn new(proto: Proto, buffered: Vec<u8>) -> Inbound {
+        Inbound { proto, end: buffered.len(), buf: buffered, start: 0, scanned: 0, lines: 0 }
+    }
+
+    /// JSONL lines split so far.
+    pub(crate) fn lines(&self) -> u64 {
+        self.lines
+    }
+
+    /// One read from `src` onto the buffer; `Ok(0)` at end of stream.
+    pub(crate) fn fill(&mut self, mut src: impl Read) -> io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        const READ: usize = 64 * 1024;
+        if self.buf.len() < self.end + READ {
+            self.buf.resize(self.end + READ, 0);
+        }
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Splits the next whole message off the buffer: its correlation id and
+    /// body, or `Ok(None)` while more bytes are needed. Blank JSONL lines
+    /// are skipped unanswered. A message longer than [`MAX_FRAME_LEN`] is an
+    /// error, and the stream has no resync point past it.
+    pub(crate) fn take(&mut self) -> Result<Option<(u64, &[u8])>, String> {
+        let (corr, body) = match self.proto {
+            Proto::Binary => {
+                let Some((len, corr)) = frame_at(&self.buf[self.start..self.end])? else {
+                    return Ok(None);
+                };
+                self.start += len;
+                (corr, self.start - len + FRAME_HEADER..self.start)
+            }
+            Proto::Jsonl => loop {
+                let rest = &self.buf[self.start..self.end];
+                let Some(end) = rest[self.scanned..].iter().position(|&b| b == b'\n') else {
+                    if rest.len() >= MAX_FRAME_LEN {
+                        return Err(format!("line length exceeds cap {MAX_FRAME_LEN}"));
+                    }
+                    self.scanned = rest.len();
+                    return Ok(None);
+                };
+                let len = self.scanned + end + 1;
+                if len > MAX_FRAME_LEN {
+                    return Err(format!("line length {len} exceeds cap {MAX_FRAME_LEN}"));
+                }
+                let line = self.start..self.start + len;
+                self.start += len;
+                self.scanned = 0;
+                if !std::str::from_utf8(&self.buf[line.clone()]).is_ok_and(|s| s.trim().is_empty())
+                {
+                    self.lines += 1;
+                    break (self.lines - 1, line);
+                }
+            },
+        };
+        Ok(Some((corr, &self.buf[body])))
+    }
 }
 
 #[cfg(test)]
@@ -397,6 +551,26 @@ mod tests {
         }
         assert_eq!(seen, vec![(7, Value::U64(42)), (9, Value::Str("next".into()))]);
         assert!(pending.is_empty());
+
+        // The session splitter does the same for either codec, one byte per
+        // read. JSONL lines are numbered by position; blank ones are skipped.
+        for (proto, ids) in [(Proto::Binary, [7, 9]), (Proto::Jsonl, [0, 1])] {
+            let mut wire = BytesMut::new();
+            proto.encode(7, &Value::U64(42), &mut wire);
+            if proto == Proto::Jsonl {
+                wire.put_slice(b" \r\n");
+            }
+            proto.encode(9, &Value::Str("next".into()), &mut wire);
+            let mut inbound = Inbound::new(proto, Vec::new());
+            let mut seen = Vec::new();
+            for byte in wire.as_slice().chunks(1) {
+                assert_eq!(inbound.fill(byte).unwrap(), 1);
+                while let Some((corr, body)) = inbound.take().unwrap() {
+                    seen.push((corr, proto.decode::<Value>(body).unwrap()));
+                }
+            }
+            assert_eq!(seen, vec![(ids[0], Value::U64(42)), (ids[1], Value::Str("next".into()))]);
+        }
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!   [`clock::SimClock`] for deterministic replay and the serve/direct
 //!   parity suite.
 //! * [`proto`] + [`codec`] + [`server`] — a TCP wire protocol with two
-//!   negotiated codecs sharing one message set: legacy JSONL (strict
-//!   request/response, `nc`-scriptable) and length-prefixed binary frames
-//!   with correlation ids, which the server pipelines out of order across
-//!   domains. [`client::Client`] speaks both.
+//!   negotiated codecs sharing one message set and one session: legacy
+//!   JSONL (`nc`-scriptable, replies in request order) and length-prefixed
+//!   binary frames with correlation ids, whose replies may arrive out of
+//!   order across domains. [`client::Client`] speaks both.
 //! * Per-tenant ingest backpressure — domains can carry an
 //!   [`domain::IngestBudget`] (token bucket per re-tuning window) that
 //!   sheds or delays over-budget bursts ([`proto::Response::Busy`])

@@ -1,43 +1,45 @@
 //! The `tempo-serve` TCP server: negotiated JSONL or binary framing over
 //! `std::net`.
 //!
-//! One accept thread, one handler thread per connection, all thin clients
-//! of the shared [`ControllerRuntime`]. The first byte of a connection
-//! picks the codec ([`codec::BINARY_PREFIX`] + version for binary frames,
-//! anything else for legacy JSONL — raw `nc` sessions keep working).
+//! One accept thread, one session per connection, all thin clients of the
+//! shared [`ControllerRuntime`]. The first byte of a connection picks the
+//! codec ([`codec::BINARY_PREFIX`] + version for binary frames, anything
+//! else for legacy JSONL — raw `nc` sessions keep working).
 //!
-//! JSONL connections are strict request/response, served inline on the
-//! handler thread with responses coalesced while more complete request
-//! lines are already buffered. Binary connections are pipelined: the
-//! handler thread decodes frames and fires domain-targeted operations at
-//! the owning shards without waiting ([`ControllerRuntime::on_domain_async`]),
-//! and a per-connection writer thread streams completions back tagged with
-//! the request's correlation id — so responses may legally arrive out of
-//! order while per-domain order is preserved.
+//! Both codecs run the same session; the codec is only its framing
+//! (`codec::Inbound` and `Proto::encode`). The connection thread splits
+//! requests off the socket and fires domain-targeted operations at the
+//! owning shards without waiting ([`ControllerRuntime::on_domain_async`]),
+//! while global operations run inline. A per-connection writer thread
+//! streams completions back under the request's correlation id: binary
+//! responses go out as they complete, so they may legally arrive out of
+//! order while per-domain order is preserved; JSONL requests are numbered
+//! by their place in line, and their responses go out in that order.
 //!
 //! Graceful shutdown is cooperative: a `Shutdown` request (or
-//! [`Server::request_shutdown`]) raises a flag, handler reads poll it via
+//! [`Server::request_shutdown`]) raises a flag, session reads poll it via
 //! short socket timeouts, and the accept loop is unblocked by a loopback
 //! poke — every thread drains and joins before [`Server::join`] returns.
 
 use crate::clock::{Clock, SimClock, WallClock};
-use crate::codec::{self, BINARY_PREFIX, BINARY_VERSION};
+use crate::codec::{self, Inbound, Proto, BINARY_PREFIX, BINARY_VERSION};
 use crate::domain::{Domain, IngestOutcome};
 use crate::fault::{no_faults, FaultInjector};
 use crate::fleet::FleetConfig;
-use crate::proto::{decode, encode_line, Request, Response, PROTO_VERSION};
+use crate::proto::{Request, Response, PROTO_VERSION};
 use crate::runtime::{push_trace, ControllerRuntime, DecisionTrace, RuntimeError};
 use crate::wal::{self, Journal, JournalOp, JournalRecord};
 use bytes::BytesMut;
 use crossbeam::channel::{self, Receiver, Sender};
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::collections::BTreeMap;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tempo_obs::TraceRing;
+use tempo_obs::{Stopwatch, TraceRing};
 use tempo_workload::time::Time;
 use tempo_workload::JobSpec;
 
@@ -158,14 +160,20 @@ pub fn default_shards() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// A running server. Dropping it without [`Server::join`] aborts less
-/// gracefully (threads are detached); prefer `join`.
-pub struct Server {
+/// What every connection session shares.
+#[derive(Clone)]
+struct Shared {
     runtime: Arc<ControllerRuntime>,
     sim: Option<Arc<SimClock>>,
     journal: Option<Arc<Journal>>,
-    local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
+}
+
+/// A running server. Dropping it without [`Server::join`] aborts less
+/// gracefully (threads are detached); prefer `join`.
+pub struct Server {
+    shared: Shared,
+    local_addr: SocketAddr,
     accept_thread: Option<JoinHandle<()>>,
     metrics: Option<tempo_obs::MetricsServer>,
 }
@@ -255,39 +263,20 @@ impl Server {
             None => None,
         };
 
-        let accept_runtime = Arc::clone(&runtime);
-        let accept_sim = sim.clone();
-        let accept_journal = journal.clone();
-        let accept_shutdown = Arc::clone(&shutdown);
+        let shared = Shared { runtime, sim, journal, shutdown };
+        let accept_shared = shared.clone();
         let accept_thread = std::thread::Builder::new()
             .name("tempo-serve-accept".into())
-            .spawn(move || {
-                accept_loop(
-                    listener,
-                    accept_runtime,
-                    accept_sim,
-                    accept_journal,
-                    faults,
-                    accept_shutdown,
-                );
-            })
+            .spawn(move || accept_loop(listener, accept_shared, faults))
             .expect("spawn accept thread");
 
-        Ok(Server {
-            runtime,
-            sim,
-            journal,
-            local_addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
-            metrics,
-        })
+        Ok(Server { shared, local_addr, accept_thread: Some(accept_thread), metrics })
     }
 
     /// The operations journal, when one is configured. The daemon uses this
     /// to write a final checkpoint on graceful exit.
     pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.journal.as_ref()
+        self.shared.journal.as_ref()
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -303,25 +292,25 @@ impl Server {
 
     /// The hosted runtime (embedded callers can bypass the socket).
     pub fn runtime(&self) -> &Arc<ControllerRuntime> {
-        &self.runtime
+        &self.shared.runtime
     }
 
     /// The simulated clock, in [`ClockMode::Sim`].
     pub fn sim_clock(&self) -> Option<&Arc<SimClock>> {
-        self.sim.as_ref()
+        self.shared.sim.as_ref()
     }
 
     /// Raises the shutdown flag and unblocks the accept loop. Returns
     /// immediately; use [`Server::join`] to wait for drain.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         // Poke the blocking accept() so it observes the flag.
         let _ = TcpStream::connect(self.local_addr);
     }
 
     /// Whether a shutdown has been requested (by a client or locally).
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// Blocks until the server has fully drained (accept loop exited, every
@@ -331,32 +320,22 @@ impl Server {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        Arc::clone(&self.runtime)
+        Arc::clone(&self.shared.runtime)
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    runtime: Arc<ControllerRuntime>,
-    sim: Option<Arc<SimClock>>,
-    journal: Option<Arc<Journal>>,
-    faults: Arc<dyn FaultInjector>,
-    shutdown: Arc<AtomicBool>,
-) {
+fn accept_loop(listener: TcpListener, shared: Shared, faults: Arc<dyn FaultInjector>) {
     let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
     let mut conn_index = 0u64;
     for stream in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
+        if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
         conn_index += 1;
         let index = conn_index;
-        let runtime = Arc::clone(&runtime);
-        let sim = sim.clone();
-        let journal = journal.clone();
+        let shared = shared.clone();
         let faults = Arc::clone(&faults);
-        let flag = Arc::clone(&shutdown);
         let handle = std::thread::Builder::new()
             .name("tempo-serve-conn".into())
             .spawn(move || {
@@ -372,7 +351,7 @@ fn accept_loop(
                     obs::conn_faults("conn_stall").inc();
                     std::thread::sleep(stall);
                 }
-                handle_connection(stream, runtime, sim, journal, flag)
+                handle_connection(stream, &shared)
             })
             .expect("spawn connection handler");
         let mut list = handlers.lock().expect("handler list");
@@ -403,22 +382,16 @@ fn read_negotiation_byte(mut stream: &TcpStream, shutdown: &AtomicBool) -> Optio
     }
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    runtime: Arc<ControllerRuntime>,
-    sim: Option<Arc<SimClock>>,
-    journal: Option<Arc<Journal>>,
-    shutdown: Arc<AtomicBool>,
-) {
-    // Short read timeouts keep handlers responsive to the shutdown flag
+fn handle_connection(stream: TcpStream, shared: &Shared) {
+    // Short read timeouts keep sessions responsive to the shutdown flag
     // without busy-waiting.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let _ = stream.set_nodelay(true);
     // The first byte negotiates the codec.
-    let Some(first) = read_negotiation_byte(&stream, &shutdown) else { return };
-    match first {
+    let Some(first) = read_negotiation_byte(&stream, &shared.shutdown) else { return };
+    let (proto, buffered) = match first {
         BINARY_PREFIX => {
-            let Some(version) = read_negotiation_byte(&stream, &shutdown) else { return };
+            let Some(version) = read_negotiation_byte(&stream, &shared.shutdown) else { return };
             if version != BINARY_VERSION {
                 let mut buf = BytesMut::new();
                 let resp = Response::Error {
@@ -431,13 +404,14 @@ fn handle_connection(
                 let _ = writer.write_all(&buf);
                 return;
             }
-            handle_binary(stream, runtime, sim, journal, shutdown);
+            (Proto::Binary, Vec::new())
         }
-        codec::JSONL_PREFIX => handle_jsonl(stream, runtime, sim, journal, shutdown, Vec::new()),
+        codec::JSONL_PREFIX => (Proto::Jsonl, Vec::new()),
         // Anything else is the first byte of a bare JSONL session (`nc`
         // with no explicit prefix): keep it as part of the stream.
-        other => handle_jsonl(stream, runtime, sim, journal, shutdown, vec![other]),
-    }
+        other => (Proto::Jsonl, vec![other]),
+    };
+    serve_session(stream, proto, Inbound::new(proto, buffered), shared);
 }
 
 /// Pokes the server's own accept loop so it observes the shutdown flag; the
@@ -448,153 +422,184 @@ fn poke_accept_loop(stream: &TcpStream) {
     }
 }
 
-// ------------------------------------------------------------------- JSONL
+/// Serves one negotiated connection: this thread splits requests off the
+/// socket and dispatches them, a writer thread sends the responses.
+fn serve_session(stream: TcpStream, proto: Proto, mut inbound: Inbound, shared: &Shared) {
+    let Ok(writer) = stream.try_clone() else { return };
+    // Completions flow to a dedicated writer thread, which is what lets the
+    // reader keep dispatching while earlier requests are still running.
+    let (resp_tx, resp_rx) = channel::unbounded::<(u64, Response)>();
+    let writer_thread = std::thread::Builder::new()
+        .name("tempo-serve-conn-writer".into())
+        .spawn(move || writer_loop(writer, proto, resp_rx))
+        .expect("spawn connection writer");
 
-fn handle_jsonl(
-    stream: TcpStream,
-    runtime: Arc<ControllerRuntime>,
-    sim: Option<Arc<SimClock>>,
-    journal: Option<Arc<Journal>>,
-    shutdown: Arc<AtomicBool>,
-    mut pending: Vec<u8>,
-) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    // Reusable line buffer: responses accumulate here and go out in one
-    // write+flush only once no further complete request line is already
-    // buffered — pipelined JSONL clients get coalesced replies instead of
-    // a syscall pair per message.
-    let mut out = String::new();
-    // Frame lines at the byte level: `read_line` would *discard* a partial
-    // read whose accumulated bytes aren't yet valid UTF-8 (a timeout firing
-    // mid-way through a multibyte character), silently corrupting the
-    // stream. `read_until` keeps every byte across timeouts.
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
+    'conn: loop {
+        if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match reader.read_until(b'\n', &mut pending) {
-            Ok(0) => break, // client closed
-            Ok(_) => {
-                if pending.last() != Some(&b'\n') {
-                    continue; // EOF without newline; next read returns 0
-                }
-                let raw = std::mem::take(&mut pending);
-                let mut stop = false;
-                match std::str::from_utf8(&raw) {
-                    Err(_) => encode_line(
-                        &Response::Error { message: "request is not valid UTF-8".into() },
-                        &mut out,
-                    ),
-                    Ok(line) if line.trim().is_empty() => {}
-                    Ok(line) => {
-                        let (response, requested_stop) = dispatch_line(
-                            &runtime,
-                            sim.as_deref(),
-                            journal.as_ref(),
-                            &shutdown,
-                            line,
-                        );
-                        encode_line(&response, &mut out);
-                        stop = requested_stop;
+        // Journal upkeep runs on this connection thread, never a shard
+        // worker (a checkpoint sweeps every shard and would self-deadlock
+        // from one). It runs after a read and before the requests it
+        // brought are dispatched: a client that waits for each response
+        // gets its checkpoints cut at the same points on every run. With no
+        // journal, degraded domains respawn fresh from their retained specs
+        // instead.
+        if let Some(journal) = &shared.journal {
+            wal::run_maintenance(journal, &shared.runtime);
+        } else {
+            shared.runtime.respawn_degraded();
+        }
+        // Dispatch every complete request already buffered before reading
+        // more.
+        loop {
+            match inbound.take() {
+                Ok(None) => break,
+                Ok(Some((corr, body))) => {
+                    if !dispatch_frame(shared, proto, corr, body, &resp_tx) {
+                        poke_accept_loop(&stream);
+                        break 'conn;
                     }
                 }
-                // Coalesce: hold the flush while complete request lines are
-                // already sitting in the read buffer.
-                let more_buffered = !stop && reader.buffer().contains(&b'\n');
-                let mut ok = true;
-                if !out.is_empty() && !more_buffered {
-                    ok = writer.write_all(out.as_bytes()).and_then(|()| writer.flush()).is_ok();
-                    out.clear();
-                    // Journal upkeep between rounds, off the shard threads:
-                    // due checkpoints and degraded-domain repair. With no
-                    // journal, degraded domains respawn fresh from their
-                    // retained specs instead.
-                    if let Some(journal) = &journal {
-                        wal::run_maintenance(journal, &runtime);
-                    } else {
-                        runtime.respawn_degraded();
-                    }
-                }
-                if stop {
-                    poke_accept_loop(&writer);
-                }
-                if !ok || stop {
-                    break;
+                Err(message) => {
+                    // Framing is unrecoverable: report and drop the
+                    // connection (there is no resync point in the stream).
+                    // A JSONL response takes the next place in line.
+                    let corr = if proto == Proto::Jsonl { inbound.lines() } else { 0 };
+                    let _ = resp_tx.send((corr, Response::Error { message }));
+                    break 'conn;
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                // Timeout poll: partial bytes are already in `pending`.
-            }
+        }
+        match inbound.fill(&stream) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
             Err(_) => break,
         }
     }
+    // Shard-queued completions still hold sender clones; the writer drains
+    // them all and exits once the last one is gone.
+    drop(resp_tx);
+    let _ = writer_thread.join();
 }
 
-/// Decodes and executes one JSONL request; the bool asks the handler (and,
-/// transitively, the whole server) to stop.
-fn dispatch_line(
-    runtime: &ControllerRuntime,
-    sim: Option<&SimClock>,
-    journal: Option<&Arc<Journal>>,
-    shutdown: &AtomicBool,
-    line: &str,
-) -> (Response, bool) {
-    match decode(line) {
-        Ok(request) => {
-            let watch = tempo_obs::Stopwatch::start();
-            let op_name = request_op_name(&request);
-            let result = dispatch(runtime, sim, journal, shutdown, request);
-            watch.observe_into(|| obs::request_micros("jsonl", op_name));
-            result
+/// Decodes one request body; the error is the message the client sees.
+fn decode_request(proto: Proto, body: &[u8]) -> Result<Request, String> {
+    if proto == Proto::Jsonl && std::str::from_utf8(body).is_err() {
+        return Err("request is not valid UTF-8".into());
+    }
+    proto.decode(body).map_err(|e| format!("bad request: {e}"))
+}
+
+/// Where one request's response goes: the connection's writer, under the
+/// request's correlation id.
+struct Reply {
+    corr: u64,
+    tx: Option<Sender<(u64, Response)>>,
+    watch: Stopwatch,
+    /// `(codec, op)` labels of the request-latency histogram.
+    labels: (&'static str, &'static str),
+}
+
+impl Reply {
+    fn send(&mut self, response: Response) {
+        if let Some(tx) = self.tx.take() {
+            // Completion-time reading: the histogram sees the full
+            // pipelined latency (queue wait included), not just decode.
+            let (codec, op) = self.labels;
+            self.watch.observe_into(|| obs::request_micros(codec, op));
+            let _ = tx.send((self.corr, response));
         }
-        Err(e) => (Response::Error { message: format!("bad request: {e}") }, false),
     }
 }
 
-/// Executes one request synchronously; the bool asks the handler to stop.
+impl Drop for Reply {
+    /// A shard worker that panics mid-op unwinds through the job and drops
+    /// its reply unsent. Answer with the shard fault instead, so no place
+    /// in a JSONL session's line of responses stays empty.
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.send(Response::Error { message: RuntimeError::ShardDown.to_string() });
+        }
+    }
+}
+
+/// Decodes and routes one request. Returns `false` when the connection
+/// should stop (shutdown requested).
+fn dispatch_frame(
+    shared: &Shared,
+    proto: Proto,
+    corr: u64,
+    body: &[u8],
+    resp_tx: &Sender<(u64, Response)>,
+) -> bool {
+    let request = match decode_request(proto, body) {
+        Ok(r) => r,
+        Err(message) => {
+            let _ = resp_tx.send((corr, Response::Error { message }));
+            return true;
+        }
+    };
+    let mut reply = Reply {
+        corr,
+        tx: Some(resp_tx.clone()),
+        watch: Stopwatch::start(),
+        labels: (proto.name(), request_op_name(&request)),
+    };
+    let runtime = &shared.runtime;
+    match split_domain_op(request) {
+        Ok((domain, op)) => {
+            // Clock is read at dispatch, not execution: a pipelined window
+            // of operations shares the submission-time view of now.
+            let now = runtime.clock().now();
+            // Journaled from the shard callback, right after execution —
+            // per-domain journal order therefore equals execution order,
+            // which is what replay reproduces. An op that never executes
+            // (shard panic, unknown domain) is never journaled.
+            let logged = shared.journal.as_ref().and_then(|_| journal_op(domain, &op));
+            let journal = shared.journal.clone();
+            let traces = Arc::clone(runtime.traces());
+            let dispatched = runtime.on_domain_async(domain, move |d| {
+                reply.send(match d {
+                    Ok(d) => {
+                        let response = run_domain_op(domain, d, now, op, &traces);
+                        if let (Some(journal), Some(op)) = (journal, logged) {
+                            journal.append_logged(&JournalRecord { now, op });
+                        }
+                        response
+                    }
+                    Err(e) => Response::Error { message: e.to_string() },
+                });
+            });
+            if let Err(e) = dispatched {
+                let _ = resp_tx.send((corr, Response::Error { message: e.to_string() }));
+            }
+            true
+        }
+        Err(request) => {
+            // Global requests run inline; their shard-fanning operations
+            // queue behind already-dispatched domain ops, so a pipelined
+            // `Metrics` still observes every earlier completion.
+            let (response, stop) = dispatch(shared, request);
+            reply.send(response);
+            !stop
+        }
+    }
+}
+
+/// Executes one global request inline; the bool asks the connection to
+/// stop.
 ///
 /// Journaling is write-behind: every state-mutating operation is appended
 /// to the journal *after* it executed (and only when it executed — errors
 /// and read-only requests are never logged). The crash-only contract: an op
 /// whose response never reached the client may or may not survive a crash;
 /// an op journaled before the crash always replays.
-fn dispatch(
-    runtime: &ControllerRuntime,
-    sim: Option<&SimClock>,
-    journal: Option<&Arc<Journal>>,
-    shutdown: &AtomicBool,
-    request: Request,
-) -> (Response, bool) {
+fn dispatch(shared: &Shared, request: Request) -> (Response, bool) {
+    let Shared { runtime, sim, journal, shutdown } = shared;
+    let (sim, journal) = (sim.as_deref(), journal.as_ref());
     let fail = |e: RuntimeError| Response::Error { message: e.to_string() };
-    // Domain-targeted requests share one execution path with the binary
-    // pipeline: a single clock reading at dispatch covers the whole op, and
-    // the journal append runs inside the shard callback, right after
-    // execution — per-domain journal order equals execution order even when
-    // concurrent connections hit the same domain.
-    let request = match split_domain_op(request) {
-        Ok((domain, op)) => {
-            let now = runtime.clock().now();
-            let logged = journal.and_then(|_| journal_op(domain, &op));
-            let journal = journal.map(Arc::clone);
-            let traces = Arc::clone(runtime.traces());
-            let response = match runtime.on_domain(domain, move |d| {
-                let response = run_domain_op(domain, d, now, op, &traces);
-                if let (Some(journal), Some(op)) = (journal, logged) {
-                    journal.append_logged(&JournalRecord { now, op });
-                }
-                response
-            }) {
-                Ok(response) => response,
-                Err(e) => fail(e),
-            };
-            return (response, false);
-        }
-        Err(request) => request,
-    };
     let response = match request {
         Request::Hello => {
             let m = runtime.metrics();
@@ -727,16 +732,14 @@ fn dispatch(
             shutdown.store(true, Ordering::SeqCst);
             return (Response::ShuttingDown, true);
         }
-        // Handled by split_domain_op above.
+        // Split off by dispatch_frame and run on the owning shard.
         Request::Ingest { .. }
         | Request::Advance { .. }
         | Request::IngestAdvance { .. }
-        | Request::Config { .. } => unreachable!("domain ops split before the match"),
+        | Request::Config { .. } => unreachable!("domain ops never reach dispatch"),
     };
     (response, false)
 }
-
-// ------------------------------------------------------------------ binary
 
 /// The domain-targeted subset of [`Request`], runnable on the owning shard
 /// without blocking the connection's reader.
@@ -747,15 +750,18 @@ enum DomainOp {
     Config,
 }
 
-/// Splits a request into its async-dispatchable form, or hands it back for
-/// synchronous (global) execution.
+/// Splits a request into its async-dispatchable form, with `steps` clamped
+/// to `1..=MAX_STEPS`, or hands it back for synchronous (global) execution.
 #[allow(clippy::result_large_err)] // Err is the ownership hand-back, not an error path
 fn split_domain_op(request: Request) -> Result<(u64, DomainOp), Request> {
+    let clamp = |steps: u64| steps.clamp(1, MAX_STEPS);
     match request {
         Request::Ingest { domain, jobs } => Ok((domain, DomainOp::Ingest { jobs })),
-        Request::Advance { domain, steps } => Ok((domain, DomainOp::Advance { steps })),
+        Request::Advance { domain, steps } => {
+            Ok((domain, DomainOp::Advance { steps: clamp(steps) }))
+        }
         Request::IngestAdvance { domain, jobs, steps } => {
-            Ok((domain, DomainOp::IngestAdvance { jobs, steps }))
+            Ok((domain, DomainOp::IngestAdvance { jobs, steps: clamp(steps) }))
         }
         Request::Config { domain } => Ok((domain, DomainOp::Config)),
         other => Err(other),
@@ -775,14 +781,10 @@ fn ingest_response(domain: u64, outcome: IngestOutcome) -> Response {
 fn journal_op(domain: u64, op: &DomainOp) -> Option<JournalOp> {
     match op {
         DomainOp::Ingest { jobs } => Some(JournalOp::Ingest { domain, jobs: jobs.clone() }),
-        DomainOp::Advance { steps } => {
-            Some(JournalOp::Advance { domain, steps: (*steps).clamp(1, MAX_STEPS) })
+        DomainOp::Advance { steps } => Some(JournalOp::Advance { domain, steps: *steps }),
+        DomainOp::IngestAdvance { jobs, steps } => {
+            Some(JournalOp::IngestAdvance { domain, jobs: jobs.clone(), steps: *steps })
         }
-        DomainOp::IngestAdvance { jobs, steps } => Some(JournalOp::IngestAdvance {
-            domain,
-            jobs: jobs.clone(),
-            steps: (*steps).clamp(1, MAX_STEPS),
-        }),
         DomainOp::Config => None,
     }
 }
@@ -806,7 +808,6 @@ fn run_domain_op(
     match op {
         DomainOp::Ingest { jobs } => ingest_response(domain, d.ingest(now, jobs)),
         DomainOp::Advance { steps } => {
-            let steps = steps.clamp(1, MAX_STEPS);
             let decisions = (0..steps).map(|_| advance(d)).collect();
             Response::Advanced { domain, decisions }
         }
@@ -815,7 +816,6 @@ fn run_domain_op(
                 IngestOutcome::Accepted { accepted } => (accepted, None),
                 IngestOutcome::Busy { retry_after_micros } => (0, Some(retry_after_micros)),
             };
-            let steps = steps.clamp(1, MAX_STEPS);
             let decisions = (0..steps).map(|_| advance(d)).collect();
             Response::IngestAdvanced { domain, accepted, retry_after_micros, decisions }
         }
@@ -823,157 +823,28 @@ fn run_domain_op(
     }
 }
 
-fn handle_binary(
-    stream: TcpStream,
-    runtime: Arc<ControllerRuntime>,
-    sim: Option<Arc<SimClock>>,
-    journal: Option<Arc<Journal>>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    // Completions flow to a dedicated writer thread, which is what lets the
-    // reader keep dispatching while earlier requests are still running.
-    let (resp_tx, resp_rx) = channel::unbounded::<(u64, Response)>();
-    let writer_thread = std::thread::Builder::new()
-        .name("tempo-serve-conn-writer".into())
-        .spawn(move || binary_writer_loop(writer, resp_rx))
-        .expect("spawn connection writer");
-
-    let mut reader = stream;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 64 * 1024];
-    'conn: loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // Drain every complete frame already buffered before reading more.
-        loop {
-            match codec::take_frame(&mut pending) {
-                Ok(None) => break,
-                Ok(Some((corr, body))) => {
-                    if !dispatch_frame(
-                        &runtime,
-                        sim.as_deref(),
-                        journal.as_ref(),
-                        &shutdown,
-                        corr,
-                        &body,
-                        &resp_tx,
-                    ) {
-                        poke_accept_loop(&reader);
-                        break 'conn;
-                    }
-                }
-                Err(e) => {
-                    // Framing is unrecoverable: report and drop the
-                    // connection (there is no resync point in the stream).
-                    let _ = resp_tx.send((0, Response::Error { message: e }));
-                    break 'conn;
-                }
-            }
-        }
-        // Journal upkeep runs on this connection thread, never a shard
-        // worker (a checkpoint sweeps every shard and would self-deadlock
-        // from one). With no journal, degraded domains respawn fresh from
-        // their retained specs instead.
-        if let Some(journal) = &journal {
-            wal::run_maintenance(journal, &runtime);
-        } else {
-            runtime.respawn_degraded();
-        }
-        match reader.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(_) => break,
-        }
-    }
-    // Shard-queued completions still hold sender clones; the writer drains
-    // them all and exits once the last one is gone.
-    drop(resp_tx);
-    let _ = writer_thread.join();
-}
-
-/// Decodes and routes one binary frame. Returns `false` when the connection
-/// should stop (shutdown requested).
-fn dispatch_frame(
-    runtime: &Arc<ControllerRuntime>,
-    sim: Option<&SimClock>,
-    journal: Option<&Arc<Journal>>,
-    shutdown: &AtomicBool,
-    corr: u64,
-    body: &[u8],
-    resp_tx: &Sender<(u64, Response)>,
-) -> bool {
-    let request: Request = match codec::decode_binary(body) {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = resp_tx.send((corr, Response::Error { message: format!("bad request: {e}") }));
-            return true;
-        }
-    };
-    let watch = tempo_obs::Stopwatch::start();
-    let op_name = request_op_name(&request);
-    match split_domain_op(request) {
-        Ok((domain, op)) => {
-            // Clock is read at dispatch, not execution: a pipelined window
-            // of operations shares the submission-time view of now.
-            let now = runtime.clock().now();
-            // Journaled from the shard callback, right after execution —
-            // per-domain journal order therefore equals execution order,
-            // which is what replay reproduces. An op that never executes
-            // (shard panic, unknown domain) is never journaled.
-            let logged = journal.and_then(|_| journal_op(domain, &op));
-            let journal = journal.cloned();
-            let tx = resp_tx.clone();
-            let traces = Arc::clone(runtime.traces());
-            let dispatched = runtime.on_domain_async(domain, move |d| {
-                let response = match d {
-                    Ok(d) => {
-                        let response = run_domain_op(domain, d, now, op, &traces);
-                        if let (Some(journal), Some(op)) = (journal.as_deref(), logged) {
-                            journal.append_logged(&JournalRecord { now, op });
-                        }
-                        response
-                    }
-                    Err(e) => Response::Error { message: e.to_string() },
-                };
-                // Completion-time reading: the histogram sees the full
-                // pipelined latency (queue wait included), not just decode.
-                watch.observe_into(|| obs::request_micros("binary", op_name));
-                let _ = tx.send((corr, response));
-            });
-            if let Err(e) = dispatched {
-                let _ = resp_tx.send((corr, Response::Error { message: e.to_string() }));
-            }
-            true
-        }
-        Err(request) => {
-            // Global requests run inline; their shard-fanning operations
-            // queue behind already-dispatched domain ops, so a pipelined
-            // `Metrics` still observes every earlier completion.
-            let (response, stop) = dispatch(runtime, sim, journal, shutdown, request);
-            watch.observe_into(|| obs::request_micros("binary", op_name));
-            let _ = resp_tx.send((corr, response));
-            !stop
-        }
-    }
-}
-
-/// Streams completion frames back to the client, coalescing everything
-/// already queued into one write+flush.
-fn binary_writer_loop(mut writer: TcpStream, resp_rx: Receiver<(u64, Response)>) {
+/// Sends responses back, coalescing everything already queued into one
+/// write. Binary responses go out in completion order, each echoing its
+/// request's id. JSONL responses go out in request order: one that
+/// overtook an earlier request waits in `held` until the gap closes.
+fn writer_loop(mut writer: TcpStream, proto: Proto, resp_rx: Receiver<(u64, Response)>) {
     let mut buf = BytesMut::with_capacity(64 * 1024);
-    while let Ok((corr, response)) = resp_rx.recv() {
+    let mut held = BTreeMap::new();
+    let mut next = 0u64;
+    while let Ok(first) = resp_rx.recv() {
         buf.clear();
-        codec::encode_frame(corr, &response, &mut buf);
-        while let Ok((corr, response)) = resp_rx.try_recv() {
-            codec::encode_frame(corr, &response, &mut buf);
+        for (corr, response) in std::iter::once(first).chain(resp_rx.try_iter()) {
+            if proto == Proto::Binary {
+                proto.encode(corr, &response, &mut buf);
+                continue;
+            }
+            held.insert(corr, response);
+            while let Some(response) = held.remove(&next) {
+                proto.encode(next, &response, &mut buf);
+                next += 1;
+            }
         }
-        if writer.write_all(&buf).and_then(|()| writer.flush()).is_err() {
+        if writer.write_all(&buf).is_err() {
             break;
         }
     }
@@ -982,8 +853,10 @@ fn binary_writer_loop(mut writer: TcpStream, resp_rx: Receiver<(u64, Response)>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{Client, Proto};
+    use crate::client::{Client, RetryPolicy};
     use crate::domain::{DomainSpec, IngestBudget};
+    use crate::proto::decode;
+    use std::io::{BufRead, BufReader};
     use tempo_qs::{QsKind, SloSet, SloSpec};
     use tempo_sim::{ClusterSpec, RmConfig, TenantConfig};
     use tempo_workload::time::{MIN, SEC};
@@ -1091,8 +964,16 @@ mod tests {
 
     #[test]
     fn binary_pipelining_matches_request_order_across_domains() {
+        // JSONL write-ahead runs the same session: its replies to requests
+        // completing out of order across shards come back in request order.
+        for proto in [Proto::Binary, Proto::Jsonl] {
+            pipelining_matches_request_order_across_domains(proto);
+        }
+    }
+
+    fn pipelining_matches_request_order_across_domains(proto: Proto) {
         let server = start_sim_server(2);
-        let mut client = Client::connect(server.local_addr(), Proto::Binary).expect("connect");
+        let mut client = Client::connect(server.local_addr(), proto).expect("connect");
         let mut domains = Vec::new();
         for i in 0..4 {
             match client.call(&Request::CreateDomain { spec: spec(&format!("d{i}")) }).unwrap() {
@@ -1168,22 +1049,128 @@ mod tests {
 
     #[test]
     fn bare_jsonl_without_negotiation_prefix_still_works() {
-        // A raw `nc`-style session: first byte is `{`, not a prefix.
+        // A raw `nc`-style session: first byte is `"`, not a prefix.
         let server = start_sim_server(1);
         let stream = TcpStream::connect(server.local_addr()).expect("connect");
         let mut writer = stream.try_clone().expect("clone");
         let mut reader = BufReader::new(stream);
-        writer.write_all(b"\"Hello\"\n").expect("send");
         let mut line = String::new();
-        reader.read_line(&mut line).expect("read");
-        match decode::<Response>(&line).expect("parse") {
+        let mut round = |request: &[u8]| {
+            writer.write_all(request).expect("send");
+            line.clear();
+            reader.read_line(&mut line).expect("read");
+            decode::<Response>(&line).expect("parse")
+        };
+        match round(b"\"Hello\"\n") {
             Response::Hello { proto, .. } => assert_eq!(proto, PROTO_VERSION),
             other => panic!("unexpected {other:?}"),
         }
-        writer.write_all(b"\"Shutdown\"\n").expect("send");
-        line.clear();
-        reader.read_line(&mut line).expect("read");
+        // A line that is not text is answered, and the session goes on.
+        match round(b"\"He\xffllo\"\n") {
+            Response::Error { message } => assert_eq!(message, "request is not valid UTF-8"),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(matches!(round(b"\"Hello\"\n"), Response::Hello { .. }));
+        assert_eq!(round(b"\"Shutdown\"\n"), Response::ShuttingDown);
         server.join();
+    }
+
+    #[test]
+    fn jsonl_line_over_the_frame_cap_is_refused() {
+        // A line with no end in sight must not grow the session's buffer
+        // without bound: at the binary frame cap it is answered with an
+        // error and the connection dropped.
+        let server = start_sim_server(1);
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        let chunk = vec![b'x'; 64 * 1024];
+        stream.write_all(&[codec::JSONL_PREFIX]).expect("send");
+        for _ in 0..codec::MAX_FRAME_LEN / chunk.len() {
+            stream.write_all(&chunk).expect("send");
+        }
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).expect("reply, then end of stream");
+        match decode::<Response>(&reply).expect("parse") {
+            Response::Error { message } => assert!(message.contains("exceeds cap"), "{message}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        server.request_shutdown();
+        server.join();
+    }
+
+    /// Drops the first accepted connection before its handshake.
+    struct DropFirst;
+
+    impl FaultInjector for DropFirst {
+        fn drop_connection(&self, index: u64) -> bool {
+            index == 1
+        }
+    }
+
+    #[test]
+    fn retrying_client_rides_out_a_dropped_connection() {
+        for proto in [Proto::Jsonl, Proto::Binary] {
+            let server = Server::start(ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                shards: 1,
+                clock: ClockMode::Sim,
+                faults: Arc::new(DropFirst),
+                ..ServerConfig::default()
+            })
+            .expect("start server");
+            let retry = RetryPolicy { max_attempts: 4, ..RetryPolicy::default() };
+            let mut client =
+                Client::connect_retry(server.local_addr(), proto, retry).expect("connect");
+            assert!(matches!(client.call(&Request::Hello).unwrap(), Response::Hello { .. }));
+            assert_eq!(client.stats().reconnects, 1, "{proto:?}");
+            client.call(&Request::Shutdown).unwrap();
+            server.join();
+        }
+    }
+
+    /// Panics the next instrumented shard op once armed.
+    struct PanicOnce(AtomicBool);
+
+    impl FaultInjector for PanicOnce {
+        fn shard_panic(&self, _shard: usize, _index: u64) -> bool {
+            self.0.swap(false, Ordering::SeqCst)
+        }
+    }
+
+    #[test]
+    fn shard_panic_mid_op_is_answered_and_the_session_goes_on() {
+        for proto in [Proto::Jsonl, Proto::Binary] {
+            let faults = Arc::new(PanicOnce(AtomicBool::new(false)));
+            let server = Server::start(ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                shards: 1,
+                clock: ClockMode::Sim,
+                faults: Arc::clone(&faults) as Arc<dyn FaultInjector>,
+                ..ServerConfig::default()
+            })
+            .expect("start server");
+            let mut client = Client::connect(server.local_addr(), proto).expect("connect");
+            // A lost reply fails the read instead of hanging the test.
+            let timeout = Some(Duration::from_secs(20));
+            client
+                .set_retry(RetryPolicy { max_attempts: 1, timeout, ..RetryPolicy::default() })
+                .expect("timeout");
+            let domain = match client.call(&Request::CreateDomain { spec: spec("p") }).unwrap() {
+                Response::Created { domain } => domain,
+                other => panic!("unexpected {other:?}"),
+            };
+            faults.0.store(true, Ordering::SeqCst);
+            // The reply behind the panicking op must not wait on it.
+            let requests = [Request::Ingest { domain, jobs: wire_jobs(2) }, Request::Hello];
+            let responses = client.call_pipelined(&requests, 2).expect("both answered");
+            match &responses[0] {
+                Response::Error { message } => assert_eq!(message, "shard worker unavailable"),
+                other => panic!("unexpected {other:?}"),
+            }
+            assert!(matches!(responses[1], Response::Hello { .. }), "{proto:?}");
+            client.call(&Request::Shutdown).unwrap();
+            server.join();
+        }
     }
 
     #[test]

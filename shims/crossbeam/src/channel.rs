@@ -12,12 +12,22 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 /// Sending half of a channel; clone freely across producer threads.
-pub struct Sender<T>(mpsc::SyncSender<T>);
+pub struct Sender<T>(Flavor<T>);
 
-/// `mpsc::SyncSender` is `Clone`; a manual impl avoids requiring `T: Clone`.
+/// std keeps unbounded and bounded senders apart; the stand-in carries
+/// either behind the one crossbeam-style `Sender` type.
+enum Flavor<T> {
+    Unbounded(mpsc::Sender<T>),
+    Bounded(mpsc::SyncSender<T>),
+}
+
+/// Both std senders are `Clone`; a manual impl avoids requiring `T: Clone`.
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        Sender(self.0.clone())
+        Sender(match &self.0 {
+            Flavor::Unbounded(tx) => Flavor::Unbounded(tx.clone()),
+            Flavor::Bounded(tx) => Flavor::Bounded(tx.clone()),
+        })
     }
 }
 
@@ -51,7 +61,11 @@ impl<T> Sender<T> {
     /// Blocks while the channel is full (bounded channels); errors only when
     /// every receiver is gone.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        self.0.send(value).map_err(|mpsc::SendError(v)| SendError(v))
+        match &self.0 {
+            Flavor::Unbounded(tx) => tx.send(value),
+            Flavor::Bounded(tx) => tx.send(value),
+        }
+        .map_err(|mpsc::SendError(v)| SendError(v))
     }
 }
 
@@ -83,20 +97,19 @@ impl<T> Receiver<T> {
     }
 }
 
-/// A channel with unlimited buffering (sends never block).
+/// A channel with unlimited buffering (sends never block). Its storage
+/// grows with the messages actually queued; a bounded channel's is
+/// allocated up front, one slot per message of capacity.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    // std's unbounded channel has a distinct non-Sync sender type; routing
-    // everything through `sync_channel` keeps one `Sender` type. The large
-    // bound is effectively "unbounded" for the workspace's queue depths
-    // while still applying backpressure before memory exhaustion.
-    bounded(1 << 20)
+    let (tx, rx) = mpsc::channel();
+    (Sender(Flavor::Unbounded(tx)), Receiver(rx))
 }
 
 /// A channel holding at most `cap` queued messages; sends block when full.
 /// `cap = 0` gives a rendezvous channel.
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     let (tx, rx) = mpsc::sync_channel(cap);
-    (Sender(tx), Receiver(rx))
+    (Sender(Flavor::Bounded(tx)), Receiver(rx))
 }
 
 #[cfg(test)]
@@ -125,6 +138,9 @@ mod tests {
     #[test]
     fn disconnection_is_observable() {
         let (tx, rx) = bounded::<u8>(1);
+        drop(rx);
+        assert_eq!(tx.send(7), Err(SendError(7)));
+        let (tx, rx) = unbounded::<u8>();
         drop(rx);
         assert_eq!(tx.send(7), Err(SendError(7)));
 

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use tempo_obs::Exposition;
 use tempo_serve::demo::{contention_burst, contention_spec, DEMO_WINDOW};
@@ -250,11 +250,17 @@ fn concurrent_scrapes_are_monotone_and_untorn() {
         })
         .collect();
 
+    // Scraping goes on (at least 20 scrapes) until one starts after the
+    // driver has published this many completed phases, so load and scrapes
+    // overlap however the two threads get scheduled.
+    const MIN_PHASES: u64 = 3;
     let stop = Arc::new(AtomicBool::new(false));
+    let completed = Arc::new(AtomicU64::new(0));
     let driver = {
         let runtime = Arc::clone(&runtime);
         let clock = Arc::clone(&clock);
         let stop = Arc::clone(&stop);
+        let completed = Arc::clone(&completed);
         let domains = domains.clone();
         std::thread::spawn(move || {
             let mut phase = 0u64;
@@ -266,13 +272,16 @@ fn concurrent_scrapes_are_monotone_and_untorn() {
                 }
                 clock.advance(DEMO_WINDOW / 2);
                 phase += 1;
+                completed.store(phase, Ordering::Release);
             }
             phase
         })
     };
 
     let mut prev: BTreeMap<String, f64> = BTreeMap::new();
-    for scrape in 0..20 {
+    for scrape in 0.. {
+        // Every phase counted here finished before this scrape began.
+        let seen = completed.load(Ordering::Acquire);
         let exp = Exposition::parse(&tempo_obs::render()).expect("parse scrape");
         let cur = audit_scrape(&exp);
         for (series, &v) in &cur {
@@ -281,6 +290,10 @@ fn concurrent_scrapes_are_monotone_and_untorn() {
             }
         }
         prev = cur;
+        // A driver that finished early panicked: the join below reports it.
+        if (scrape >= 19 && seen >= MIN_PHASES) || driver.is_finished() {
+            break;
+        }
         std::thread::yield_now();
     }
     stop.store(true, Ordering::Relaxed);
